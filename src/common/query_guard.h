@@ -71,6 +71,14 @@ class QueryGuard {
     }
   }
 
+  // Scopes Engine::CancelAll to the generation `snapshot`, taken when the
+  // statement was submitted, instead of the one current at Arm(): a
+  // CancelAll issued between a scheduled statement's start and its guard
+  // arming still cancels it. Call after Arm().
+  void PinCancelGeneration(uint64_t snapshot) {
+    generation_snapshot_ = snapshot;
+  }
+
   void Disarm() { armed_ = false; }
   bool armed() const { return armed_; }
 

@@ -59,7 +59,8 @@ struct QueryStats {
   // Per-phase wall times, filled from the query's trace spans when tracing
   // was enabled for the statement (zero otherwise — the disabled path never
   // measures them). Names match the span names in docs/OBSERVABILITY.md;
-  // these feed the wire response footer and msql_system.queries.
+  // these feed the wire response footer and msql_system.queries. bind_us
+  // excludes measure_expand_us (which runs inside bind) so phases add up.
   int64_t admission_wait_us = 0;
   int64_t queue_wait_us = 0;
   int64_t parse_us = 0;

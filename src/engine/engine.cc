@@ -301,7 +301,13 @@ Result<ResultSet> Engine::QueryWith(const std::string& sql,
     if (PreparedPlanPtr cached = plan_cache_.Lookup(
             PlanCacheKey(ctx.user, cctx.plan_cache_text, {}),
             catalog_.generation())) {
-      return QueryPlanned(cached, {}, ctx);
+      Result<ResultSet> hit = QueryPlanned(cached, {}, ctx);
+      // A write between the lookup and the run leaves the plan stale. For
+      // raw text that is a cache miss, not an error: bind afresh below.
+      if (hit.ok() || hit.status().code() != ErrorCode::kCatalog ||
+          cached->generation == catalog_.generation()) {
+        return hit;
+      }
     }
   }
   if (ctx.options.enable_tracing && ctx.trace == nullptr) {
@@ -614,6 +620,9 @@ Result<ResultSet> Engine::FinishSelect(const QueryContext& ctx,
         stats->render_us += span->duration_us;
       }
     }
+    // measure-expand runs inside bind; report bind net of it so the
+    // phases partition the pipeline.
+    stats->bind_us -= std::min(stats->bind_us, stats->measure_expand_us);
     ctx.trace->set_stats(*stats);
   }
   if (result.ok()) result.value().set_stats(std::move(stats));
@@ -735,6 +744,9 @@ Result<ResultSet> Engine::ExecutePlanImpl(
                      ctx.options.max_result_rows, ctx.cancel,
                      cancel_generation_);
     if (ctx.has_deadline) state->guard.TightenDeadline(ctx.deadline);
+    if (ctx.cancel_generation) {
+      state->guard.PinCancelGeneration(*ctx.cancel_generation);
+    }
     if (after_arm) {
       Status st = after_arm();
       if (!st.ok()) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,6 +65,10 @@ struct QueryContext {
   int64_t admission_wait_us = 0;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
+  // Engine::CancelAll generation the scheduler snapshotted at submission;
+  // the query guard is pinned to it. Unset: the generation at execution
+  // start.
+  std::optional<uint64_t> cancel_generation;
 
   // Plan-cache alias key (docs/NETWORKING.md): the trimmed raw statement
   // text, set by Engine::Query when the cache is enabled and the call is a

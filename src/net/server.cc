@@ -58,9 +58,6 @@ MsqldServer::MsqldServer(Engine* engine, ServerOptions options)
   metrics_.protocol_errors = reg.GetCounter(
       "msql_net_protocol_errors_total",
       "Connections dropped for malformed or out-of-order frames");
-  metrics_.rate_limited = reg.GetCounter(
-      "msql_net_rate_limited_total",
-      "Statements shed by the per-user admission rate limit");
   metrics_.write_timeouts = reg.GetCounter(
       "msql_net_write_timeouts_total",
       "Connections dropped after pending output stalled for "
@@ -95,10 +92,18 @@ Status MsqldServer::Start() {
                           options_.listen_backlog, &port_));
   MSQL_RETURN_IF_ERROR(SetNonBlocking(listener_.fd(), true));
 
-  user_limiters_ = std::make_unique<RateLimiterRegistry>(
-      options_.per_user_rate_limit_qps, options_.per_user_rate_limit_burst);
-  workers_ =
-      std::make_unique<ThreadPool>(std::max(1, options_.num_worker_threads));
+  SchedulerOptions sched;
+  sched.num_threads = std::max(1, options_.num_worker_threads);
+  // A connection has one statement in flight, but its next frame may be
+  // admitted while the finished statement's worker is still releasing its
+  // slot: two slots per connection mean admission never waits on a
+  // handler thread.
+  sched.max_pending = 2 * options_.max_connections;
+  sched.max_inflight_per_session = 2;
+  sched.max_admission_wait_ms = options_.max_admission_wait_ms;
+  sched.per_user_rate_limit_qps = options_.per_user_rate_limit_qps;
+  sched.per_user_rate_limit_burst = options_.per_user_rate_limit_burst;
+  scheduler_ = std::make_unique<QueryScheduler>(sched);
 
   const int nhandlers = std::max(1, options_.num_handler_threads);
   handlers_.clear();
@@ -308,8 +313,8 @@ void MsqldServer::Stop() {
     if (handler->thread.joinable()) handler->thread.join();
   }
   // Handler loops closed their connections (cancelling in-flight
-  // statements); drain the worker pool so no task outlives the server.
-  if (workers_ != nullptr) workers_->Shutdown();
+  // statements); drain the scheduler so no task outlives the server.
+  scheduler_.reset();
   for (auto& handler : handlers_) {
     if (handler->epfd >= 0) ::close(handler->epfd);
     if (handler->wake_read >= 0) ::close(handler->wake_read);
@@ -444,9 +449,9 @@ void MsqldServer::HandlerLoop(Handler* handler) {
           CloseConn(conn);
         }
       }
-      // Keep conns alive until their in-flight workers finish enqueueing
-      // (enqueue into a dead conn is a no-op); the pool Shutdown in Stop()
-      // joins those workers before the server object dies.
+      // Keep conns alive until their in-flight statements finish
+      // enqueueing (enqueue into a dead conn is a no-op); Stop() drains
+      // the scheduler before the server object dies.
       return;
     }
 
@@ -851,6 +856,37 @@ void MsqldServer::HandleClose(const ConnPtr& conn, const Frame& frame) {
   SendBatch(conn, ack);
 }
 
+ScheduledRun MsqldServer::RunFor(uint32_t frame_timeout_ms,
+                                 uint8_t trace_flags,
+                                 std::string trace_id) const {
+  ScheduledRun run;
+  run.timeout_ms = frame_timeout_ms > 0 ? static_cast<int64_t>(frame_timeout_ms)
+                                        : options_.default_timeout_ms;
+  run.trace = (trace_flags & kTraceFlagEnabled) != 0;
+  run.trace_id = std::move(trace_id);
+  return run;
+}
+
+void MsqldServer::ScheduleStatement(const ConnPtr& conn,
+                                    const std::string& sql, ScheduledRun run,
+                                    QueryScheduler::Task body) {
+  NoteStatementStart(conn, sql);
+  conn->busy.store(true, std::memory_order_release);
+  Status admitted = scheduler_->Schedule(
+      conn->session, std::move(run),
+      [this, conn, body = std::move(body)](Result<QueryContext> ctx) {
+        body(std::move(ctx));
+        FinishStatement(conn);
+      });
+  if (!admitted.ok()) {
+    if (admitted.code() == ErrorCode::kResourceExhausted) {
+      conn->stats.rate_limited.fetch_add(1, std::memory_order_relaxed);
+    }
+    SendError(conn, admitted);
+    FinishStatement(conn);
+  }
+}
+
 void MsqldServer::DispatchQuery(const ConnPtr& conn, const Frame& frame) {
   Result<QueryMsg> msg = DecodeQuery(frame.payload);
   if (!msg.ok()) {
@@ -860,15 +896,17 @@ void MsqldServer::DispatchQuery(const ConnPtr& conn, const Frame& frame) {
     return;
   }
   metrics_.queries->Increment();
-  NoteStatementStart(conn, msg.value().sql);
-  conn->busy.store(true, std::memory_order_release);
-  if (!workers_->Submit([this, conn, m = msg.take()]() mutable {
-        RunQuery(conn, std::move(m));
-      })) {
-    conn->busy.store(false, std::memory_order_release);
-    SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
-    conn->close_after_flush.store(true);
-  }
+  QueryMsg& m = msg.value();
+  ScheduledRun run = RunFor(m.timeout_ms, m.trace_flags, std::move(m.trace_id));
+  const bool footer = run.trace;
+  ScheduleStatement(
+      conn, m.sql, std::move(run),
+      [this, conn, sql = m.sql, footer](Result<QueryContext> ctx) {
+        Result<ResultSet> result =
+            ctx.ok() ? engine_->QueryWith(sql, ctx.value())
+                     : Result<ResultSet>(ctx.status());
+        SendOutcome(conn, 0, result, footer);
+      });
 }
 
 void MsqldServer::DispatchPrepare(const ConnPtr& conn, const Frame& frame) {
@@ -880,15 +918,29 @@ void MsqldServer::DispatchPrepare(const ConnPtr& conn, const Frame& frame) {
     return;
   }
   const uint32_t stmt_id = conn->next_stmt_id++;
-  NoteStatementStart(conn, msg.value().sql);
-  conn->busy.store(true, std::memory_order_release);
-  if (!workers_->Submit([this, conn, stmt_id, m = msg.take()]() mutable {
-        RunPrepare(conn, stmt_id, std::move(m));
-      })) {
-    conn->busy.store(false, std::memory_order_release);
-    SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
-    conn->close_after_flush.store(true);
-  }
+  PrepareMsg& m = msg.value();
+  ScheduleStatement(
+      conn, m.sql, RunFor(0, 0, ""),
+      [this, conn, stmt_id, m](Result<QueryContext> ctx) {
+        Result<PreparedPlanPtr> prepared =
+            ctx.ok() ? engine_->PrepareSelect(m.sql, m.param_types, ctx.value())
+                     : Result<PreparedPlanPtr>(ctx.status());
+        if (!prepared.ok()) {
+          SendError(conn, prepared.status());
+          return;
+        }
+        {
+          std::lock_guard<std::mutex> lock(conn->stmts_mu);
+          StmtEntry entry;
+          entry.plan = prepared.value();
+          entry.bound = prepared.value()->param_types.empty();
+          conn->stmts[stmt_id] = std::move(entry);
+        }
+        ResultBatchMsg ack;
+        ack.stmt_id = stmt_id;
+        ack.param_count = static_cast<uint16_t>(prepared.value()->param_count);
+        SendBatch(conn, ack);
+      });
 }
 
 void MsqldServer::DispatchExecute(const ConnPtr& conn, const Frame& frame) {
@@ -900,205 +952,60 @@ void MsqldServer::DispatchExecute(const ConnPtr& conn, const Frame& frame) {
     return;
   }
   metrics_.queries->Increment();
-  NoteStatementStart(conn, StrCat("<execute #", msg.value().stmt_id, ">"));
-  conn->busy.store(true, std::memory_order_release);
-  if (!workers_->Submit([this, conn, m = msg.value()] {
-        RunExecute(conn, m);
-      })) {
-    conn->busy.store(false, std::memory_order_release);
-    SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
-    conn->close_after_flush.store(true);
-  }
-}
-
-Status MsqldServer::AdmitStatement(const ConnPtr& conn,
-                                   uint32_t frame_timeout_ms,
-                                   int64_t* remaining_timeout_ms) {
-  const auto start = std::chrono::steady_clock::now();
-  const int64_t timeout_ms = frame_timeout_ms > 0
-                                 ? static_cast<int64_t>(frame_timeout_ms)
-                                 : options_.default_timeout_ms;
-  const bool has_deadline = timeout_ms > 0;
-  const auto deadline = start + std::chrono::milliseconds(timeout_ms);
-
-  if (user_limiters_->enabled()) {
-    RateLimiter& limiter = user_limiters_->ForKey(conn->user);
-    auto wait_deadline =
-        start + std::chrono::milliseconds(options_.max_admission_wait_ms);
-    if (has_deadline && deadline < wait_deadline) wait_deadline = deadline;
-    while (true) {
-      if (conn->dead.load(std::memory_order_acquire)) {
-        return Status(ErrorCode::kCancelled,
-                      "connection closed during admission");
-      }
-      const int64_t defer_us = limiter.TryAcquire();
-      if (defer_us == 0) break;
-      const auto now = std::chrono::steady_clock::now();
-      if (has_deadline && now >= deadline) {
-        return Status(ErrorCode::kDeadlineExceeded,
-                      "deadline exceeded while rate-limit gated");
-      }
-      if (now + std::chrono::microseconds(defer_us) > wait_deadline) {
-        metrics_.rate_limited->Increment();
-        conn->stats.rate_limited.fetch_add(1, std::memory_order_relaxed);
-        return Status(ErrorCode::kResourceExhausted,
-                      StrCat("user '", conn->user,
-                             "' admission rate limited (next token in ",
-                             defer_us, "us, beyond the wait budget)"));
-      }
-      std::this_thread::sleep_for(
-          std::min(std::chrono::microseconds(defer_us),
-                   std::chrono::microseconds(1000)));
-    }
-  }
-
-  if (!has_deadline) {
-    *remaining_timeout_ms = 0;
-    return Status::Ok();
-  }
-  const auto now = std::chrono::steady_clock::now();
-  if (now >= deadline) {
-    return Status(ErrorCode::kDeadlineExceeded,
-                  "deadline exceeded during admission");
-  }
-  // The budget given to the engine is net of admission wait, so wire
-  // timeout_ms bounds the whole server-side round trip.
-  *remaining_timeout_ms = std::max<int64_t>(
-      1, std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-             .count());
-  return Status::Ok();
-}
-
-void MsqldServer::RunQuery(const ConnPtr& conn, QueryMsg msg) {
-  const bool want_trace = (msg.trace_flags & kTraceFlagEnabled) != 0;
-  int64_t budget_ms = 0;
-  Status admitted = AdmitStatement(conn, msg.timeout_ms, &budget_ms);
-  Result<ResultSet> result = admitted.ok()
-                                 ? [&] {
-                                     // Per-statement option mutation is safe
-                                     // here: one statement in flight per
-                                     // connection, same as timeout_ms.
-                                     conn->session->options().timeout_ms =
-                                         budget_ms;
-                                     const bool saved_tracing =
-                                         conn->session->options()
-                                             .enable_tracing;
-                                     if (want_trace) {
-                                       conn->session->options()
-                                           .enable_tracing = true;
-                                       conn->session->SetTraceId(msg.trace_id);
-                                     }
-                                     Result<ResultSet> r =
-                                         conn->session->Query(msg.sql);
-                                     if (want_trace) {
-                                       conn->session->options()
-                                           .enable_tracing = saved_tracing;
-                                       conn->session->SetTraceId("");
-                                     }
-                                     return r;
-                                   }()
-                                 : Result<ResultSet>(admitted);
-  if (result.ok()) {
-    SendResult(conn, 0, result.value(), want_trace);
-  } else {
-    SendError(conn, result.status());
-  }
-  FinishStatement(conn);
-}
-
-void MsqldServer::RunPrepare(const ConnPtr& conn, uint32_t stmt_id,
-                             PrepareMsg msg) {
-  Result<PreparedPlanPtr> prepared =
-      conn->session->Prepare(msg.sql, msg.param_types);
-  if (!prepared.ok()) {
-    SendError(conn, prepared.status());
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(conn->stmts_mu);
-      StmtEntry entry;
-      entry.plan = prepared.value();
-      entry.bound = prepared.value()->param_types.empty();
-      conn->stmts[stmt_id] = std::move(entry);
-    }
-    ResultBatchMsg ack;
-    ack.stmt_id = stmt_id;
-    ack.param_count = static_cast<uint16_t>(prepared.value()->param_count);
-    SendBatch(conn, ack);
-  }
-  FinishStatement(conn);
-}
-
-void MsqldServer::RunExecute(const ConnPtr& conn, ExecuteMsg msg) {
-  const bool want_trace = (msg.trace_flags & kTraceFlagEnabled) != 0;
-  PreparedPlanPtr plan;
-  Row params;
+  ExecuteMsg& m = msg.value();
+  StmtEntry entry;
   Status setup = Status::Ok();
   {
     std::lock_guard<std::mutex> lock(conn->stmts_mu);
-    auto it = conn->stmts.find(msg.stmt_id);
+    auto it = conn->stmts.find(m.stmt_id);
     if (it == conn->stmts.end()) {
       setup = Status(ErrorCode::kInvalidArgument,
-                     StrCat("Execute for unknown statement id ",
-                            msg.stmt_id));
+                     StrCat("Execute for unknown statement id ", m.stmt_id));
     } else if (!it->second.bound) {
       setup = Status(ErrorCode::kInvalidArgument,
-                     StrCat("statement ", msg.stmt_id,
+                     StrCat("statement ", m.stmt_id,
                             " has unbound parameters (send Bind first)"));
     } else {
-      plan = it->second.plan;
-      params = it->second.params;
+      entry = it->second;
     }
   }
-  if (setup.ok()) {
-    // /statusz showed "<execute #N>" from dispatch; upgrade it to the
-    // prepared statement's actual text now that we have the plan.
-    std::lock_guard<std::mutex> lock(conn->stats.mu);
-    conn->stats.statement = plan->sql;
+  if (!setup.ok()) {
+    NoteStatementStart(conn, StrCat("<execute #", m.stmt_id, ">"));
+    SendError(conn, setup);
+    FinishStatement(conn);
+    return;
   }
-  Result<ResultSet> result = setup.ok() ? Result<ResultSet>(ResultSet())
-                                        : Result<ResultSet>(setup);
-  if (setup.ok()) {
-    int64_t budget_ms = 0;
-    Status admitted = AdmitStatement(conn, msg.timeout_ms, &budget_ms);
-    if (admitted.ok()) {
-      conn->session->options().timeout_ms = budget_ms;
-      const bool saved_tracing = conn->session->options().enable_tracing;
-      if (want_trace) {
-        conn->session->options().enable_tracing = true;
-        conn->session->SetTraceId(msg.trace_id);
-      }
-      result = conn->session->QueryPrepared(plan, params);
-      if (!result.ok() && result.status().code() == ErrorCode::kCatalog) {
-        // The catalog moved under the prepared plan. Re-prepare
-        // transparently from the stored statement text and retry once;
-        // the client never sees the generation bump.
-        Result<PreparedPlanPtr> fresh =
-            conn->session->Prepare(plan->sql, plan->param_types);
-        if (fresh.ok()) {
-          {
-            std::lock_guard<std::mutex> lock(conn->stmts_mu);
-            auto it = conn->stmts.find(msg.stmt_id);
-            if (it != conn->stmts.end()) it->second.plan = fresh.value();
-          }
-          result = conn->session->QueryPrepared(fresh.value(), params);
-        } else {
-          result = fresh.status();
+  ScheduledRun run = RunFor(m.timeout_ms, m.trace_flags, std::move(m.trace_id));
+  const bool footer = run.trace;
+  ScheduleStatement(
+      conn, entry.plan->sql, std::move(run),
+      [this, conn, stmt_id = m.stmt_id, plan = entry.plan,
+       params = entry.params, footer](Result<QueryContext> ctx) {
+        if (!ctx.ok()) {
+          SendError(conn, ctx.status());
+          return;
         }
-      }
-      if (want_trace) {
-        conn->session->options().enable_tracing = saved_tracing;
-        conn->session->SetTraceId("");
-      }
-    } else {
-      result = admitted;
-    }
-  }
-  if (result.ok()) {
-    SendResult(conn, msg.stmt_id, result.value(), want_trace);
-  } else {
-    SendError(conn, result.status());
-  }
-  FinishStatement(conn);
+        Result<ResultSet> result =
+            engine_->QueryPlanned(plan, params, ctx.value());
+        if (!result.ok() && result.status().code() == ErrorCode::kCatalog) {
+          // The catalog moved under the prepared plan. Re-prepare
+          // transparently from the stored statement text and retry once;
+          // the client never sees the generation bump.
+          Result<PreparedPlanPtr> fresh =
+              engine_->PrepareSelect(plan->sql, plan->param_types, ctx.value());
+          if (fresh.ok()) {
+            {
+              std::lock_guard<std::mutex> lock(conn->stmts_mu);
+              auto it = conn->stmts.find(stmt_id);
+              if (it != conn->stmts.end()) it->second.plan = fresh.value();
+            }
+            result = engine_->QueryPlanned(fresh.value(), params, ctx.value());
+          } else {
+            result = fresh.status();
+          }
+        }
+        SendOutcome(conn, stmt_id, result, footer);
+      });
 }
 
 void MsqldServer::NoteStatementStart(const ConnPtr& conn,
@@ -1220,6 +1127,16 @@ void MsqldServer::SendBatch(const ConnPtr& conn, const ResultBatchMsg& msg) {
   std::string frames;
   AppendFrame(&frames, FrameType::kResultBatch, EncodeResultBatch(msg));
   EnqueueFrames(conn, std::move(frames), 1);
+}
+
+void MsqldServer::SendOutcome(const ConnPtr& conn, uint32_t stmt_id,
+                              const Result<ResultSet>& result,
+                              bool with_footer) {
+  if (result.ok()) {
+    SendResult(conn, stmt_id, result.value(), with_footer);
+  } else {
+    SendError(conn, result.status());
+  }
 }
 
 void MsqldServer::SendResult(const ConnPtr& conn, uint32_t stmt_id,

@@ -16,27 +16,30 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
-#include "runtime/rate_limiter.h"
+#include "runtime/scheduler.h"
 #include "runtime/session.h"
-#include "runtime/thread_pool.h"
 
 // The msqld network front end (docs/NETWORKING.md): a TCP server speaking
 // the length-prefixed frame protocol of net/wire.h. One acceptor thread
 // distributes connections round-robin over N handler threads, each running
-// a poll() event loop over its connections with non-blocking sockets and
-// bounded input/output buffers; statement execution happens on a separate
-// worker pool so a long query never wedges an event loop. Each
-// authenticated connection owns one Engine session
-// (Engine::CreateSessionForUser), giving it the engine's full per-session
-// machinery: cancellation scope, option snapshot, definer security.
+// an epoll event loop over its connections with non-blocking sockets and
+// bounded input/output buffers. Statements run as tasks of the server's
+// QueryScheduler — the same admission path as embedded submissions — so a
+// long query never wedges an event loop. Each authenticated connection
+// owns one Engine session (Engine::CreateSessionForUser), giving it the
+// engine's full per-session machinery: cancellation scope, option
+// snapshot, definer security.
 //
 // Robustness posture:
-//  - Admission reuses the GCRA RateLimiter per authenticated user
-//    (RateLimiterRegistry): a flooding user exhausts only its own bucket,
-//    waits bounded, then is shed with kResourceExhausted.
+//  - Admission is the scheduler's: a per-user GCRA token bucket, so a
+//    flooding user exhausts only its own bucket. A token that frees up
+//    within max_admission_wait_ms is reserved and the statement starts
+//    when it falls due — no thread sleeps on it; beyond that the statement
+//    is shed with kResourceExhausted. The scheduler's slot caps are sized
+//    from max_connections, so a handler thread never waits in admission.
 //  - Deadlines propagate from the wire: Query/Execute carry timeout_ms;
-//    the budget starts at frame dispatch, so admission wait charges
-//    against it (kDeadlineExceeded once elapsed).
+//    the budget starts at frame dispatch, so admission and queue wait
+//    charge against it (kDeadlineExceeded once elapsed).
 //  - Slow or half-closed clients cannot wedge a handler: output buffers
 //    are size-capped (overflow => kResourceExhausted Error + close), and a
 //    connection whose pending output makes no progress for
@@ -49,7 +52,7 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = pick an ephemeral port (see MsqldServer::port)
   int num_handler_threads = 2;
-  int num_worker_threads = 4;  // statement-execution pool
+  int num_worker_threads = 4;  // the statement scheduler's worker threads
   int listen_backlog = 512;
   size_t max_connections = 4096;
   int max_connections_per_user = 0;  // 0 = unlimited
@@ -59,11 +62,13 @@ struct ServerOptions {
   // (slow-client shed). <= 0 disables.
   int64_t write_timeout_ms = 10000;
   size_t result_batch_rows = 1024;  // rows per ResultBatch frame
-  // Per-user admission token bucket; 0 qps = unlimited.
+  // Scheduler admission (SchedulerOptions): per-user token bucket (0 qps =
+  // unlimited) and how long a statement may wait for a token.
   double per_user_rate_limit_qps = 0.0;
   int64_t per_user_rate_limit_burst = 16;
   int64_t max_admission_wait_ms = 100;
-  // Applied when a Query/Execute frame carries timeout_ms == 0.
+  // Applied when a Query/Execute frame carries timeout_ms == 0, and to
+  // Prepare frames.
   int64_t default_timeout_ms = 0;
   // Admin HTTP endpoint (/metrics, /healthz, /statusz, /tracez) on the
   // same host; < 0 disables it, 0 picks an ephemeral port
@@ -114,9 +119,9 @@ class MsqldServer {
     uint64_t rate_limited = 0;
   };
 
-  // Snapshot of every open connection, without stopping handler or worker
-  // threads (counters are relaxed atomics; strings take a short per-conn
-  // lock).
+  // Snapshot of every open connection, without stopping handler or
+  // scheduler threads (counters are relaxed atomics; strings take a short
+  // per-conn lock).
   std::vector<ConnInfo> SnapshotConnections() const;
 
  private:
@@ -139,7 +144,7 @@ class MsqldServer {
     std::atomic<uint64_t> bytes_out{0};
     std::atomic<uint64_t> statements{0};
     std::atomic<uint64_t> errors{0};
-    std::atomic<uint64_t> rate_limited{0};
+    std::atomic<uint64_t> rate_limited{0};  // statements shed by admission
     // Ordinal (== statements at dispatch) of the statement in flight;
     // 0 when idle.
     std::atomic<uint64_t> inflight_stmt{0};
@@ -211,7 +216,6 @@ class MsqldServer {
     obs::Counter* queries = nullptr;
     obs::Counter* errors_sent = nullptr;
     obs::Counter* protocol_errors = nullptr;
-    obs::Counter* rate_limited = nullptr;
     obs::Counter* write_timeouts = nullptr;
     obs::Counter* slow_client_sheds = nullptr;
     obs::Gauge* connections_active = nullptr;
@@ -242,15 +246,14 @@ class MsqldServer {
   void DispatchPrepare(const ConnPtr& conn, const Frame& frame);
   void DispatchExecute(const ConnPtr& conn, const Frame& frame);
 
-  // Worker-side statement execution.
-  void RunQuery(const ConnPtr& conn, QueryMsg msg);
-  void RunPrepare(const ConnPtr& conn, uint32_t stmt_id, PrepareMsg msg);
-  void RunExecute(const ConnPtr& conn, ExecuteMsg msg);
-  // Bounded-wait per-user admission + deadline bookkeeping shared by
-  // RunQuery/RunExecute. On success *remaining_timeout_ms holds the
-  // statement budget net of admission wait.
-  Status AdmitStatement(const ConnPtr& conn, uint32_t frame_timeout_ms,
-                        int64_t* remaining_timeout_ms);
+  // Admits one statement through the scheduler with the frame's timeout
+  // and trace context. `body` runs on a scheduler worker and sends the
+  // response; a shed answers with an Error frame at once. Either way the
+  // connection is busy from here until the response is enqueued.
+  void ScheduleStatement(const ConnPtr& conn, const std::string& sql,
+                         ScheduledRun run, QueryScheduler::Task body);
+  ScheduledRun RunFor(uint32_t frame_timeout_ms, uint8_t trace_flags,
+                      std::string trace_id) const;
   // Connection-stats bookkeeping around one statement: dispatch marks the
   // connection busy with the statement's text, FinishStatement returns it
   // to idle.
@@ -274,6 +277,9 @@ class MsqldServer {
   // client requested tracing for this statement.
   void SendResult(const ConnPtr& conn, uint32_t stmt_id,
                   const ResultSet& result, bool with_footer = false);
+  // SendResult on success, SendError otherwise.
+  void SendOutcome(const ConnPtr& conn, uint32_t stmt_id,
+                   const Result<ResultSet>& result, bool with_footer);
 
   void CloseConn(const ConnPtr& conn);
 
@@ -291,8 +297,7 @@ class MsqldServer {
   Socket listener_;
   std::thread acceptor_;
   std::vector<std::unique_ptr<Handler>> handlers_;
-  std::unique_ptr<ThreadPool> workers_;
-  std::unique_ptr<RateLimiterRegistry> user_limiters_;
+  std::unique_ptr<QueryScheduler> scheduler_;
 
   std::unique_ptr<AdminServer> admin_;
 

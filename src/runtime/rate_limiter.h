@@ -13,13 +13,13 @@ namespace msql {
 
 // Lock-free token-bucket rate limiter (GCRA formulation: the bucket is a
 // single "theoretical arrival time" timestamp, advanced by CAS, instead of
-// a token count plus a refill thread). Admission control consults one of
-// these per session and one global instance per scheduler; a query that
-// cannot acquire immediately learns how long until a token frees up and
-// waits out that hint against its deadline (docs/CONCURRENCY.md).
+// a token count plus a refill thread). Admission control consults one
+// global instance and one per user per scheduler; a query whose token is
+// not free yet reserves it ahead of time and is queued to start when it
+// falls due, so no thread sleeps on a token (docs/CONCURRENCY.md).
 //
-// rate_per_sec <= 0 disables the limiter (TryAcquire always admits), so
-// "no rate limit" costs one predictable branch.
+// rate_per_sec <= 0 disables the limiter (Reserve always admits at once),
+// so "no rate limit" costs one predictable branch.
 class RateLimiter {
  public:
   RateLimiter() = default;
@@ -28,18 +28,18 @@ class RateLimiter {
   }
 
   // (Re)configures the limiter with a full bucket. Not safe to call
-  // concurrently with TryAcquire; the engine configures limiters at
-  // session / scheduler construction.
+  // concurrently with Reserve; the scheduler configures its limiters at
+  // construction.
   void Configure(double rate_per_sec, int64_t burst);
 
-  // Attempts to take one token. Returns 0 on success, otherwise the number
-  // of microseconds until a token will be available (callers sleep or
-  // bounded-wait on that hint and try again).
-  int64_t TryAcquire();
+  // Takes one token, reserving it at most `max_wait_us` ahead: the GCRA
+  // arrival time may move into the future, and *wait_us says how long the
+  // caller must delay the guarded work. Returns false, taking nothing, when
+  // the next token is further away than that; *wait_us then holds how far.
+  // max_wait_us = 0 takes only a token that is free now.
+  bool Reserve(int64_t max_wait_us, int64_t* wait_us);
 
   bool enabled() const { return interval_us_ > 0; }
-  double rate_per_sec() const { return rate_per_sec_; }
-  int64_t burst() const { return burst_; }
 
  private:
   int64_t NowUs() const {
@@ -48,8 +48,6 @@ class RateLimiter {
         .count();
   }
 
-  double rate_per_sec_ = 0.0;
-  int64_t burst_ = 0;
   int64_t interval_us_ = 0;  // microseconds per token; 0 = unlimited
   int64_t tau_us_ = 0;       // burst allowance: (burst - 1) * interval
   std::chrono::steady_clock::time_point epoch_{
@@ -59,11 +57,12 @@ class RateLimiter {
 };
 
 // A lazily-populated map of independent RateLimiters sharing one
-// configuration, keyed by an arbitrary string — the msqld server keys by
-// authenticated user so one client flooding Query frames exhausts only its
-// own token bucket (docs/NETWORKING.md). ForKey returns a stable reference
-// (limiters are heap-allocated and never removed); TryAcquire on the result
-// is lock-free as usual, the registry lock covers only map lookup/insert.
+// configuration, keyed by an arbitrary string — the scheduler keys by
+// Session::user() so one user flooding statements, embedded or over the
+// wire, exhausts only its own token bucket (docs/CONCURRENCY.md). ForKey
+// returns a stable reference (limiters are heap-allocated and never
+// removed); Reserve on the result is lock-free as usual, the registry lock
+// covers only map lookup/insert.
 class RateLimiterRegistry {
  public:
   RateLimiterRegistry(double rate_per_sec, int64_t burst)
@@ -76,12 +75,11 @@ class RateLimiterRegistry {
   RateLimiter& ForKey(const std::string& key);
 
   bool enabled() const { return rate_per_sec_ > 0.0; }
-  size_t size() const;
 
  private:
   const double rate_per_sec_;
   const int64_t burst_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<RateLimiter>> limiters_;
 };
 

@@ -11,15 +11,24 @@ namespace msql {
 
 namespace {
 
-// Admission waits poll in short slices rather than blocking until
-// notified: a waiter must observe Session::Cancel / Engine::CancelAll and
-// its own deadline promptly even when no completion wakes it.
+// Slot waits poll in short slices rather than blocking until notified: a
+// waiter must observe Session::Cancel / Engine::CancelAll and its own
+// deadline promptly even when no completion wakes it.
 constexpr auto kWaitSlice = std::chrono::milliseconds(1);
+
+int64_t MicrosBetween(std::chrono::steady_clock::time_point from,
+                      std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+      .count();
+}
 
 }  // namespace
 
 QueryScheduler::QueryScheduler(SchedulerOptions options)
-    : options_(options), pool_(options.num_threads) {
+    : options_(options),
+      user_buckets_(options.per_user_rate_limit_qps,
+                     options.per_user_rate_limit_burst),
+      pool_(options.num_threads) {
   global_limiter_.Configure(options_.global_rate_limit_qps,
                             options_.global_rate_limit_burst);
 }
@@ -54,7 +63,7 @@ QueryScheduler::SchedMetrics QueryScheduler::MetricsFor(Engine& engine) {
         obs::MetricsRegistry::DepthBuckets());
     cached_metrics_.admission_wait_seconds = reg.GetHistogram(
         "msql_admission_wait_seconds",
-        "Time submissions spent in bounded-wait admission (rate-limit gate "
+        "Time submissions spent in bounded-wait admission (rate-limit delay "
         "plus slot wait), successful or shed",
         obs::MetricsRegistry::LatencyBucketsSeconds());
     metrics_engine_ = &engine;
@@ -62,50 +71,37 @@ QueryScheduler::SchedMetrics QueryScheduler::MetricsFor(Engine& engine) {
   return cached_metrics_;
 }
 
-Status QueryScheduler::WaitForRateTokens(
-    const SessionPtr& session, const CancelTokenPtr& token,
-    uint64_t generation, std::chrono::steady_clock::time_point wait_deadline,
-    bool has_deadline, std::chrono::steady_clock::time_point deadline,
-    const SchedMetrics& metrics) {
-  const auto& generation_counter = session->engine().cancel_generation_;
-  while (true) {
-    if (token->cancelled()) {
-      return Status(ErrorCode::kCancelled,
-                    "submission cancelled while rate-limit gated");
-    }
-    if (generation_counter->load(std::memory_order_relaxed) != generation) {
-      return Status(ErrorCode::kCancelled,
-                    "submission flushed by Engine::CancelAll while "
-                    "rate-limit gated");
-    }
-    // Global bucket first (the broad gate), then the session's. Under
-    // overload a token burnt on a submission the narrower gate then defers
-    // only makes admission stricter, which is the safe direction.
-    int64_t defer_us = global_limiter_.TryAcquire();
-    if (defer_us == 0) defer_us = session->rate_limiter_.TryAcquire();
-    if (defer_us == 0) return Status::Ok();
-    const auto now = std::chrono::steady_clock::now();
-    if (has_deadline && now >= deadline) {
-      return Status(ErrorCode::kDeadlineExceeded,
-                    "query deadline exceeded while rate-limit gated");
-    }
-    if (now + std::chrono::microseconds(defer_us) > wait_deadline) {
-      metrics.rate_limited->Increment();
-      metrics.rejections->Increment();
-      return Status(ErrorCode::kResourceExhausted,
-                    StrCat("admission rate limited (next token in ",
-                           defer_us, "us, beyond the wait budget)"));
-    }
-    std::this_thread::sleep_for(std::min<std::chrono::steady_clock::duration>(
-        std::chrono::microseconds(defer_us), kWaitSlice));
+Status QueryScheduler::ReserveRateTokens(const std::string& user,
+                                         Clock::time_point now,
+                                         Clock::time_point wait_deadline,
+                                         const SchedMetrics& metrics,
+                                         Clock::time_point* not_before) {
+  const int64_t budget_us = MicrosBetween(now, wait_deadline);
+  // Global bucket first (the broad gate), then the user's. Under overload
+  // a global token burnt on a submission the user's bucket then sheds only
+  // makes admission stricter, which is the safe direction.
+  int64_t global_us = 0;
+  int64_t user_us = 0;
+  bool reserved = global_limiter_.Reserve(budget_us, &global_us);
+  if (reserved && user_buckets_.enabled()) {
+    reserved = user_buckets_.ForKey(user).Reserve(budget_us, &user_us);
   }
+  if (!reserved) {
+    metrics.rate_limited->Increment();
+    metrics.rejections->Increment();
+    return Status(ErrorCode::kResourceExhausted,
+                  StrCat("admission rate limited (next token in ",
+                         std::max(global_us, user_us),
+                         "us, beyond the wait budget)"));
+  }
+  *not_before = now + std::chrono::microseconds(std::max(global_us, user_us));
+  return Status::Ok();
 }
 
 Status QueryScheduler::WaitForSlots(
     const SessionPtr& session, const CancelTokenPtr& token,
-    uint64_t generation, std::chrono::steady_clock::time_point wait_deadline,
-    bool has_deadline, std::chrono::steady_clock::time_point deadline,
-    const SchedMetrics& metrics) {
+    uint64_t generation, Clock::time_point wait_deadline, bool has_deadline,
+    Clock::time_point deadline, const SchedMetrics& metrics) {
   const auto& generation_counter = session->engine().cancel_generation_;
   std::unique_lock<std::mutex> lock(admit_mu_);
   while (true) {
@@ -127,7 +123,7 @@ Status QueryScheduler::WaitForSlots(
       metrics.queue_depth->Observe(static_cast<double>(pending + 1));
       return Status::Ok();
     }
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     if (has_deadline && now >= deadline) {
       metrics.rejections->Increment();
       return Status(ErrorCode::kDeadlineExceeded,
@@ -151,36 +147,45 @@ Status QueryScheduler::WaitForSlots(
 
 Result<QueryScheduler::QueryFuture> QueryScheduler::Submit(
     const SessionPtr& session, std::string sql) {
-  return SubmitRunner(session,
-                      [session, sql = std::move(sql)](const ScheduledRun& run) {
-                        return session->QueryScheduled(sql, run);
-                      });
+  auto promise = std::make_shared<std::promise<Result<ResultSet>>>();
+  QueryFuture future = promise->get_future();
+  MSQL_RETURN_IF_ERROR(Schedule(
+      session, {},
+      [engine = &session->engine(), sql = std::move(sql),
+       promise](Result<QueryContext> ctx) {
+        promise->set_value(ctx.ok() ? engine->QueryWith(sql, ctx.value())
+                                    : Result<ResultSet>(ctx.status()));
+      }));
+  return future;
 }
 
 Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitPrepared(
     const SessionPtr& session, PreparedPlanPtr prepared, Row params) {
-  return SubmitRunner(session, [session, prepared = std::move(prepared),
-                                params = std::move(params)](
-                                   const ScheduledRun& run) {
-    return session->QueryPreparedScheduled(prepared, params, run);
-  });
+  auto promise = std::make_shared<std::promise<Result<ResultSet>>>();
+  QueryFuture future = promise->get_future();
+  MSQL_RETURN_IF_ERROR(Schedule(
+      session, {},
+      [engine = &session->engine(), prepared = std::move(prepared),
+       params = std::move(params), promise](Result<QueryContext> ctx) {
+        promise->set_value(
+            ctx.ok() ? engine->QueryPlanned(prepared, params, ctx.value())
+                     : Result<ResultSet>(ctx.status()));
+      }));
+  return future;
 }
 
-Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitRunner(
-    const SessionPtr& session, Runner runner) {
+Status QueryScheduler::Schedule(const SessionPtr& session, ScheduledRun run,
+                                Task task) {
   const SchedMetrics metrics = MetricsFor(session->engine());
   MSQL_FAULT_POINT("runtime.admission_wait");
 
-  const auto submit_time = std::chrono::steady_clock::now();
+  const auto submit_time = Clock::now();
   // The query's absolute deadline is stamped now, before any waiting, so
-  // queue time charges against the statement's own timeout budget.
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline{};
-  if (session->options_.timeout_ms > 0) {
-    has_deadline = true;
-    deadline =
-        submit_time + std::chrono::milliseconds(session->options_.timeout_ms);
-  }
+  // admission and queue time charge against the statement's own budget.
+  const int64_t timeout_ms =
+      run.timeout_ms >= 0 ? run.timeout_ms : session->options_.timeout_ms;
+  const bool has_deadline = timeout_ms > 0;
+  const auto deadline = submit_time + std::chrono::milliseconds(timeout_ms);
   auto wait_deadline = submit_time;  // max_admission_wait_ms == 0: no wait
   if (options_.max_admission_wait_ms > 0) {
     wait_deadline =
@@ -194,72 +199,72 @@ Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitRunner(
   const uint64_t generation =
       session->engine().cancel_generation_->load(std::memory_order_relaxed);
 
-  Status admitted = WaitForRateTokens(session, token, generation,
-                                      wait_deadline, has_deadline, deadline,
-                                      metrics);
+  Clock::time_point not_before;
+  Status admitted = ReserveRateTokens(session->user(), submit_time,
+                                      wait_deadline, metrics, &not_before);
   if (admitted.ok()) {
     admitted = WaitForSlots(session, token, generation, wait_deadline,
                             has_deadline, deadline, metrics);
   }
-  const int64_t admission_wait_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - submit_time)
-          .count();
-  metrics.admission_wait_seconds->Observe(
-      static_cast<double>(admission_wait_us) / 1e6);
+  const auto admitted_at = Clock::now();
   if (!admitted.ok()) {
+    metrics.admission_wait_seconds->Observe(
+        static_cast<double>(MicrosBetween(submit_time, admitted_at)) / 1e6);
     session->ReleaseToken(token);
     return admitted;
   }
+  // A reserved token delays the start; a slot wait delays the enqueue.
+  // Admission ends at whichever comes later.
+  const auto due = std::max(not_before, admitted_at);
+  const int64_t admission_wait_us = MicrosBetween(submit_time, due);
+  metrics.admission_wait_seconds->Observe(
+      static_cast<double>(admission_wait_us) / 1e6);
 
-  ScheduledRun run;
-  run.admission_wait_us = admission_wait_us;
-  run.token = token;
-  run.has_deadline = has_deadline;
-  run.deadline = deadline;
+  QueryContext ctx = session->MakeContext(token);
+  // The deadline stamped above carries the statement's whole budget.
+  ctx.options.timeout_ms = 0;
+  ctx.options.enable_tracing = ctx.options.enable_tracing || run.trace;
+  if (!run.trace_id.empty()) ctx.trace_id = std::move(run.trace_id);
+  ctx.admission_wait_us = admission_wait_us;
+  ctx.has_deadline = has_deadline;
+  ctx.deadline = deadline;
+  ctx.cancel_generation = generation;
 
-  const auto enqueued = std::chrono::steady_clock::now();
-  obs::Histogram* queue_wait_ms = metrics.queue_wait_ms;
   auto generation_counter = session->engine().cancel_generation_;
-  auto task = std::make_shared<std::packaged_task<Result<ResultSet>()>>(
-      [session, runner = std::move(runner), run, enqueued, queue_wait_ms,
-       generation, generation_counter]() mutable -> Result<ResultSet> {
-        const auto started = std::chrono::steady_clock::now();
+  const bool submitted = pool_.Submit(
+      [this, session, token, ctx = std::move(ctx), task = std::move(task),
+       due, generation, generation_counter,
+       queue_wait_ms = metrics.queue_wait_ms]() mutable {
+        const auto started = Clock::now();
+        // Shutdown starts delayed tasks early; their queue wait is zero.
         const int64_t wait_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(started -
-                                                                  enqueued)
-                .count();
+            std::max<int64_t>(0, MicrosBetween(due, started));
         queue_wait_ms->Observe(static_cast<double>(wait_us) / 1000.0);
         // Queued-but-unstarted flush: a token fired or a CancelAll issued
         // while this statement sat in the worker queue cancels it without
         // executing a single operator.
-        if (run.token->cancelled() ||
+        if (token->cancelled() ||
             generation_counter->load(std::memory_order_relaxed) !=
                 generation) {
-          session->ReleaseToken(run.token);
-          return Status(ErrorCode::kCancelled,
-                        "query cancelled while queued (never started)");
+          task(Status(ErrorCode::kCancelled,
+                      "query cancelled while queued (never started)"));
+        } else if (ctx.has_deadline && started >= ctx.deadline) {
+          task(Status(ErrorCode::kDeadlineExceeded,
+                      "query deadline exceeded while queued"));
+        } else {
+          ctx.queue_wait_us = wait_us;
+          task(std::move(ctx));
         }
-        if (run.has_deadline && started >= run.deadline) {
-          session->ReleaseToken(run.token);
-          return Status(ErrorCode::kDeadlineExceeded,
-                        "query deadline exceeded while queued");
+        session->ReleaseToken(token);
+        {
+          std::lock_guard<std::mutex> lock(admit_mu_);
+          session->inflight_.fetch_sub(1, std::memory_order_acq_rel);
+          pending_.fetch_sub(1, std::memory_order_acq_rel);
         }
-        run.queue_wait_us = wait_us;
-        return runner(run);
-      });
-  QueryFuture future = task->get_future();
-
-  const bool submitted = pool_.Submit([this, session, task] {
-    (*task)();
-    {
-      std::lock_guard<std::mutex> lock(admit_mu_);
-      session->inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    admit_cv_.notify_all();
-    drain_cv_.notify_all();
-  });
+        admit_cv_.notify_all();
+        drain_cv_.notify_all();
+      },
+      due);
   if (!submitted) {
     session->ReleaseToken(token);
     {
@@ -269,7 +274,7 @@ Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitRunner(
     }
     return Status(ErrorCode::kCancelled, "scheduler is shut down");
   }
-  return future;
+  return Status::Ok();
 }
 
 Result<ResultSet> QueryScheduler::SubmitWithRetry(const SessionPtr& session,

@@ -13,19 +13,6 @@ CancelTokenPtr Session::AcquireToken() {
   return token;
 }
 
-QueryContext Session::MakeContext(CancelTokenPtr* token_out) {
-  CancelTokenPtr token = AcquireToken();
-  *token_out = token;
-  QueryContext ctx;
-  ctx.options = options_;
-  ctx.user = user_;
-  ctx.cancel = std::move(token);
-  ctx.session_id = id_;
-  ctx.peer = peer_;
-  ctx.trace_id = trace_id_;
-  return ctx;
-}
-
 void Session::ReleaseToken(const CancelTokenPtr& token) {
   std::lock_guard<std::mutex> lock(tokens_mu_);
   active_tokens_.erase(
@@ -33,68 +20,44 @@ void Session::ReleaseToken(const CancelTokenPtr& token) {
       active_tokens_.end());
 }
 
-Result<ResultSet> Session::Query(const std::string& sql) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
-  Result<ResultSet> result = engine_->QueryWith(sql, ctx);
-  ReleaseToken(token);
-  return result;
-}
-
-QueryContext Session::ScheduledContext(const ScheduledRun& run) const {
+QueryContext Session::MakeContext(CancelTokenPtr token) const {
   QueryContext ctx;
   ctx.options = options_;
   ctx.user = user_;
-  ctx.cancel = run.token;  // registered by the scheduler at submission
+  ctx.cancel = std::move(token);
   ctx.session_id = id_;
   ctx.peer = peer_;
-  ctx.trace_id = trace_id_;
-  ctx.queue_wait_us = run.queue_wait_us;
-  ctx.admission_wait_us = run.admission_wait_us;
-  ctx.has_deadline = run.has_deadline;
-  ctx.deadline = run.deadline;
   return ctx;
 }
 
-Result<ResultSet> Session::QueryScheduled(const std::string& sql,
-                                          const ScheduledRun& run) {
-  Result<ResultSet> result = engine_->QueryWith(sql, ScheduledContext(run));
-  ReleaseToken(run.token);
-  return result;
-}
-
-Result<ResultSet> Session::QueryPreparedScheduled(
-    const PreparedPlanPtr& prepared, const Row& params,
-    const ScheduledRun& run) {
-  Result<ResultSet> result =
-      engine_->QueryPlanned(prepared, params, ScheduledContext(run));
-  ReleaseToken(run.token);
+Result<ResultSet> Session::Query(const std::string& sql) {
+  CancelTokenPtr token = AcquireToken();
+  Result<ResultSet> result = engine_->QueryWith(sql, MakeContext(token));
+  ReleaseToken(token);
   return result;
 }
 
 Result<PreparedPlanPtr> Session::Prepare(const std::string& sql,
                                          std::vector<TypeKind> param_types) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
+  CancelTokenPtr token = AcquireToken();
   Result<PreparedPlanPtr> result =
-      engine_->PrepareSelect(sql, std::move(param_types), ctx);
+      engine_->PrepareSelect(sql, std::move(param_types), MakeContext(token));
   ReleaseToken(token);
   return result;
 }
 
 Result<ResultSet> Session::QueryPrepared(const PreparedPlanPtr& prepared,
                                          const Row& params) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
-  Result<ResultSet> result = engine_->QueryPlanned(prepared, params, ctx);
+  CancelTokenPtr token = AcquireToken();
+  Result<ResultSet> result =
+      engine_->QueryPlanned(prepared, params, MakeContext(token));
   ReleaseToken(token);
   return result;
 }
 
 Status Session::Execute(const std::string& sql) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
-  Status status = engine_->ExecuteWith(sql, ctx);
+  CancelTokenPtr token = AcquireToken();
+  Status status = engine_->ExecuteWith(sql, MakeContext(token));
   ReleaseToken(token);
   return status;
 }

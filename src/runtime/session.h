@@ -2,7 +2,6 @@
 #define MSQL_RUNTIME_SESSION_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -10,21 +9,8 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "runtime/rate_limiter.h"
 
 namespace msql {
-
-// Everything the scheduler hands a session about one admitted statement:
-// how long admission and queueing took (for the trace), the cancel token it
-// registered at submission, and the absolute deadline stamped when the
-// statement was submitted (docs/CONCURRENCY.md).
-struct ScheduledRun {
-  int64_t queue_wait_us = 0;      // worker-pickup latency after admission
-  int64_t admission_wait_us = 0;  // bounded-wait admission latency
-  CancelTokenPtr token;           // registered with the session at submit
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline{};
-};
 
 // One client's connection to an Engine: an options snapshot, a user, and a
 // cancellation scope. Created with Engine::CreateSession(). Many sessions
@@ -34,10 +20,8 @@ struct ScheduledRun {
 //
 // `options()` / `SetUser` configure this session only, and — like their
 // engine-level counterparts — must not be called while this session has a
-// query in flight. The admission rate limit
-// (EngineOptions::admission_rate_limit_qps) is the exception: it is
-// snapshotted into the session's token bucket at CreateSession, so set it
-// on the engine's options before creating the session.
+// query in flight. Per-statement settings of a scheduled statement
+// (timeout, tracing, trace id) travel with its ScheduledRun instead.
 class Session {
  public:
   // Session lifetime is tracked by the engine (msql_sessions_active).
@@ -77,12 +61,6 @@ class Session {
   void SetPeer(std::string peer) { peer_ = std::move(peer); }
   const std::string& peer() const { return peer_; }
 
-  // Client-supplied correlation id for subsequent statements (wire trace
-  // context); the server sets it before a traced statement and clears it
-  // after. Same single-threaded contract as options()/SetUser.
-  void SetTraceId(std::string id) { trace_id_ = std::move(id); }
-  const std::string& trace_id() const { return trace_id_; }
-
   // Queries currently executing on this session (scheduler admission).
   int inflight() const { return inflight_.load(std::memory_order_acquire); }
 
@@ -95,44 +73,23 @@ class Session {
       : engine_(engine),
         id_(id),
         options_(std::move(options)),
-        user_(std::move(user)) {
-    rate_limiter_.Configure(options_.admission_rate_limit_qps,
-                            options_.admission_rate_limit_burst);
-  }
+        user_(std::move(user)) {}
 
-  // Builds the per-query context with a fresh cancel token, registered so
-  // Cancel() can reach it.
-  QueryContext MakeContext(CancelTokenPtr* token_out);
-
-  // Creates and registers a token without building a context yet: the
-  // scheduler acquires the token at submission time so Cancel() reaches
-  // statements still waiting for admission.
+  // Creates and registers a token so Cancel() can reach it. The scheduler
+  // acquires it at submission time, so Cancel() also reaches statements
+  // still waiting for admission.
   CancelTokenPtr AcquireToken();
   void ReleaseToken(const CancelTokenPtr& token);
 
-  // Query() as dispatched by QueryScheduler: runs under the already
-  // registered token and carries the admission/queue waits (traced as
-  // spans) and the submission-time deadline into the query context.
-  Result<ResultSet> QueryScheduled(const std::string& sql,
-                                   const ScheduledRun& run);
-
-  // QueryPrepared() as dispatched by QueryScheduler::SubmitPrepared.
-  Result<ResultSet> QueryPreparedScheduled(const PreparedPlanPtr& prepared,
-                                           const Row& params,
-                                           const ScheduledRun& run);
-
-  // Shared context assembly for the two scheduled variants.
-  QueryContext ScheduledContext(const ScheduledRun& run) const;
+  // The per-query context: this session's options, user and identity,
+  // running under `token`.
+  QueryContext MakeContext(CancelTokenPtr token) const;
 
   Engine* engine_;
   uint64_t id_;
   EngineOptions options_;
   std::string user_;
   std::string peer_;
-  std::string trace_id_;
-
-  // Admission token bucket; disabled unless admission_rate_limit_qps > 0.
-  RateLimiter rate_limiter_;
 
   std::mutex tokens_mu_;
   std::vector<CancelTokenPtr> active_tokens_;

@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
+
 namespace msql {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -12,11 +14,16 @@ ThreadPool::ThreadPool(int num_threads) {
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
-bool ThreadPool::Submit(std::function<void()> fn) {
+bool ThreadPool::Submit(std::function<void()> fn,
+                        Clock::time_point not_before) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return false;
-    queue_.push_back(std::move(fn));
+    // Reading the clock under the lock keeps immediate tasks' due times in
+    // submission order, so they stay FIFO among themselves.
+    queue_.push_back(
+        Task{std::max(not_before, Clock::now()), next_seq_++, std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end(), Later);
   }
   cv_.notify_one();
   return true;
@@ -34,20 +41,25 @@ void ThreadPool::Shutdown() {
   }
 }
 
-size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      while (true) {
+        if (queue_.empty()) {
+          if (stop_) return;  // stopped and drained
+          cv_.wait(lock);
+          continue;
+        }
+        const Clock::time_point due = queue_.front().due;
+        if (stop_ || due <= Clock::now()) break;
+        // An earlier task submitted meanwhile notifies and is re-examined.
+        cv_.wait_until(lock, due);
+      }
+      std::pop_heap(queue_.begin(), queue_.end(), Later);
+      task = std::move(queue_.back().fn);
+      queue_.pop_back();
     }
     task();
   }

@@ -6,6 +6,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -408,6 +409,91 @@ TEST_F(NetTest, PerUserAdmissionRateLimiting) {
   ASSERT_TRUE(other.Connect("127.0.0.1", server_->port(), User("calm")).ok());
   auto r = other.Query("SELECT 1");
   EXPECT_TRUE(r.ok()) << r.status().ToString();
+}
+
+TEST_F(NetTest, FloodingUserDoesNotStarveCalmUser) {
+  net::ServerOptions options;
+  options.num_worker_threads = 4;
+  options.per_user_rate_limit_qps = 50.0;
+  options.max_admission_wait_ms = 100;
+  StartServer(options);
+
+  // Eight connections of one user demand far more than its 50 qps: their
+  // statements wait for tokens or are shed, but neither may occupy the
+  // workers a user within its own limit needs.
+  std::atomic<bool> done{false};
+  std::atomic<int> flood_shed{0};
+  std::vector<std::thread> flooders;
+  for (int c = 0; c < 8; ++c) {
+    flooders.emplace_back([&] {
+      net::Client client;
+      if (!client.Connect("127.0.0.1", server_->port(), User("flood")).ok()) {
+        return;
+      }
+      while (!done.load(std::memory_order_relaxed)) {
+        auto r = client.Query("SELECT 1");
+        if (!r.ok() &&
+            r.status().code() == ErrorCode::kResourceExhausted) {
+          flood_shed.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  net::Client calm;
+  ASSERT_TRUE(calm.Connect("127.0.0.1", server_->port(), User("calm")).ok());
+  std::vector<double> latency_ms;
+  for (int i = 0; i < 40; ++i) {  // one query per 25ms: 40 qps, under 50
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = calm.Query(kMeasureQuery);
+    const auto t1 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    latency_ms.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    std::this_thread::sleep_until(t0 + std::chrono::milliseconds(25));
+  }
+  done.store(true);
+  for (std::thread& t : flooders) t.join();
+
+  std::sort(latency_ms.begin(), latency_ms.end());
+  const double p99 = latency_ms[latency_ms.size() * 99 / 100];
+  EXPECT_LT(p99, options.max_admission_wait_ms / 4.0)
+      << "calm user's p99 " << p99 << "ms next to a flooding user";
+  EXPECT_GT(flood_shed.load(), 0) << "the flood never hit its rate limit";
+}
+
+TEST_F(NetTest, TraceFooterReportsAdmissionWait) {
+  net::ServerOptions options;
+  options.per_user_rate_limit_qps = 20.0;  // 50ms per token
+  options.per_user_rate_limit_burst = 1;
+  options.max_admission_wait_ms = 1000;
+  StartServer(options);
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port(), User("tara")).ok());
+  client.SetTrace(true, "wait-for-token");
+
+  // The first statement takes the burst token; the second waits for the
+  // next one, and its footer says so.
+  ASSERT_TRUE(client.Query("SELECT 1").ok());
+  auto r = client.Query("SELECT 1");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r.value().stats(), nullptr);
+  EXPECT_GT(r.value().stats()->admission_wait_us, 10 * 1000);
+
+  // Server-side, the statement's trace carries the same waits as an
+  // embedded QueryScheduler::Submit: admission-wait and queue-wait spans.
+  bool found = false;
+  for (const auto& trace : engine_->RecentTraces()) {
+    bool admission_span = false;
+    bool queue_span = false;
+    for (const auto& child : trace->root().children) {
+      if (child->name == "admission-wait") admission_span = true;
+      if (child->name == "queue-wait") queue_span = true;
+    }
+    found = found || (admission_span && queue_span &&
+                      trace->trace_id() == "wait-for-token");
+  }
+  EXPECT_TRUE(found) << "no trace carried admission-wait and queue-wait";
 }
 
 TEST_F(NetTest, DeadlinePropagatesFromWire) {

@@ -45,7 +45,11 @@ const char* kSlowQuery =
 TEST(RateLimiterTest, DisabledLimiterAlwaysAdmits) {
   RateLimiter limiter;  // rate 0 = disabled
   EXPECT_FALSE(limiter.enabled());
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(limiter.TryAcquire(), 0);
+  int64_t wait_us = -1;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(limiter.Reserve(0, &wait_us));
+    EXPECT_EQ(wait_us, 0);
+  }
 }
 
 TEST(RateLimiterTest, AdmitsBurstThenDefers) {
@@ -53,20 +57,43 @@ TEST(RateLimiterTest, AdmitsBurstThenDefers) {
   // token interval (10ms).
   RateLimiter limiter(100.0, 4);
   ASSERT_TRUE(limiter.enabled());
+  int64_t wait_us = -1;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(limiter.TryAcquire(), 0) << "burst token " << i;
+    EXPECT_TRUE(limiter.Reserve(0, &wait_us)) << "burst token " << i;
+    EXPECT_EQ(wait_us, 0);
   }
-  const int64_t defer_us = limiter.TryAcquire();
-  EXPECT_GT(defer_us, 0);
-  EXPECT_LE(defer_us, 10 * 1000);
+  EXPECT_FALSE(limiter.Reserve(0, &wait_us));
+  EXPECT_GT(wait_us, 0);
+  EXPECT_LE(wait_us, 10 * 1000);
 }
 
 TEST(RateLimiterTest, TokensRefillOverTime) {
   RateLimiter limiter(1000.0, 1);  // one token per millisecond
-  EXPECT_EQ(limiter.TryAcquire(), 0);
-  EXPECT_GT(limiter.TryAcquire(), 0);  // bucket empty
+  int64_t wait_us = -1;
+  EXPECT_TRUE(limiter.Reserve(0, &wait_us));
+  EXPECT_FALSE(limiter.Reserve(0, &wait_us));  // bucket empty
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(limiter.TryAcquire(), 0);  // refilled
+  EXPECT_TRUE(limiter.Reserve(0, &wait_us));  // refilled
+}
+
+TEST(RateLimiterTest, ReservesTokensAheadWithinTheBudget) {
+  // 100 qps, burst 1: with a 25ms budget the next two tokens are reserved
+  // about 10ms and 20ms ahead; the third, ~30ms out, is refused and taken
+  // from no one.
+  RateLimiter limiter(100.0, 1);
+  int64_t wait_us = -1;
+  ASSERT_TRUE(limiter.Reserve(25 * 1000, &wait_us));
+  EXPECT_EQ(wait_us, 0);
+  ASSERT_TRUE(limiter.Reserve(25 * 1000, &wait_us));
+  EXPECT_GT(wait_us, 5 * 1000);
+  EXPECT_LE(wait_us, 10 * 1000);
+  ASSERT_TRUE(limiter.Reserve(25 * 1000, &wait_us));
+  EXPECT_GT(wait_us, 15 * 1000);
+  EXPECT_LE(wait_us, 20 * 1000);
+  EXPECT_FALSE(limiter.Reserve(25 * 1000, &wait_us));
+  EXPECT_GT(wait_us, 25 * 1000);
+  ASSERT_TRUE(limiter.Reserve(35 * 1000, &wait_us));  // the refused token
+  EXPECT_LE(wait_us, 30 * 1000);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,12 +440,13 @@ TEST(ObsTest, RateLimitShedIsCountedAndLabelled) {
 TEST(ObsTest, AdmissionWaitAppearsAsTraceSpan) {
   EngineOptions eopts;
   eopts.enable_tracing = true;
-  eopts.admission_rate_limit_qps = 100.0;  // 10ms per token
-  eopts.admission_rate_limit_burst = 1;
   Engine db(eopts);
   LoadInts(&db, 10, 10);
-  QueryScheduler scheduler;
-  SessionPtr session = db.CreateSession();  // snapshots the rate limit
+  SchedulerOptions sopts;
+  sopts.per_user_rate_limit_qps = 100.0;  // 10ms per token
+  sopts.per_user_rate_limit_burst = 1;
+  QueryScheduler scheduler(sopts);
+  SessionPtr session = db.CreateSession();
 
   // First submission takes the burst token; the second waits ~10ms in
   // admission, which the trace must record as an admission-wait span.

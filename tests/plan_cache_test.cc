@@ -4,7 +4,9 @@
 // binding against a prepared plan must fail with a typed error on type
 // mismatch.
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -140,6 +142,34 @@ TEST(PlanCacheTest, CatalogGenerationBumpInvalidates) {
   EXPECT_EQ(stale.status().code(), ErrorCode::kCatalog);
   EXPECT_NE(stale.status().message().find("stale"), std::string::npos)
       << stale.status().ToString();
+}
+
+TEST(PlanCacheTest, ConcurrentWritesNeverFailRawTextReads) {
+  // A write landing between the raw-text cache lookup and the run leaves
+  // the cached plan stale. For a plain text SELECT that is a cache miss,
+  // never a kCatalog error the client would have to handle.
+  Engine db(MakeOptions(MeasureStrategy::kGrouped, true));
+  ASSERT_TRUE(db.Execute(kSetup).ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE Log (n INTEGER)").ok());
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    // Every insert moves the catalog generation the reader's plan records.
+    for (int i = 0; !done.load(std::memory_order_relaxed); ++i) {
+      ASSERT_TRUE(db.InsertRows("Log", {{Value::Int(i)}}).ok());
+    }
+  });
+  int catalog_errors = 0;
+  for (int i = 0; i < 5000; ++i) {
+    auto r = db.Query(kQueries[0]);
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), ErrorCode::kCatalog)
+          << r.status().ToString();
+      ++catalog_errors;
+    }
+  }
+  done.store(true);
+  writer.join();
+  EXPECT_EQ(catalog_errors, 0);
 }
 
 TEST(PlanCacheTest, ParameterTypeMismatchIsTypedError) {
